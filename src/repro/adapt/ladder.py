@@ -49,7 +49,6 @@ from repro.hlo.module import HloModule
 from repro.obs.events import ADAPT
 from repro.obs.tracer import Tracer
 from repro.perfsim.hardware import TPU_V4, ChipSpec
-from repro.runtime._compat import internal_construction
 from repro.runtime.executor import Executor, PerDevice
 from repro.runtime.resilient import (
     ResilienceStats,
@@ -126,8 +125,7 @@ def run_with_ladder(
         if state is LadderState.SYNC_FALLBACK:
             if tracer is not None:
                 tracer.count("fallbacks")
-            with internal_construction():
-                executor = Executor(mesh.num_devices, tracer=tracer)
+            executor = Executor(mesh.num_devices, tracer=tracer)
             try:
                 values = executor.run(program, arguments, outputs=outputs)
             except FaultError as error:
@@ -140,13 +138,12 @@ def run_with_ladder(
                 failure=last_failure,
             )
 
-        with internal_construction():
-            executor = ResilientExecutor(
-                mesh.num_devices,
-                injector=injector,
-                policy=policy,
-                tracer=tracer,
-            )
+        executor = ResilientExecutor(
+            mesh.num_devices,
+            injector=injector,
+            policy=policy,
+            tracer=tracer,
+        )
         try:
             values = executor.run(program, arguments, outputs=outputs)
             return LadderResult(

@@ -17,9 +17,14 @@ Model (mirroring the *semantics* the planner promises, not its code):
 
 * ``Reshape``/``Transpose``/``Slice``/``Copy`` alias their operand's
   buffer; ``CollectivePermuteStart`` passes its operand through.
-* A ``Done`` reveals the transfer payload — a *fresh* buffer written at
-  issue time — so the Start's operand is read at the Start, never at
-  the Done (the snapshot-at-issue semantics).
+* The transfer is *deferred*: the Start copies nothing, and the matching
+  ``Done`` reads the Start's operand and writes the payload into a
+  *fresh* buffer. Snapshot-at-issue therefore holds by immutability —
+  the operand's buffer is read at the Done, so donating or releasing it
+  anywhere inside the Start..Done window is a D001. (This is the
+  contract of :func:`repro.runtime.compile.lower`, whose records this
+  pass audits; multi-worker plans copy rows into the mailbox at the
+  Start and are checked by :mod:`repro.analysis.concurrency` instead.)
 * Identical pure ops compute one shared value (the planner CSEs them),
   so readers of a duplicate read the representative's buffer.
 * Requested outputs are read at the horizon (after every step).
@@ -219,12 +224,13 @@ class _Liveness:
                 numbering[key] = instruction
             self._position[instruction.name] = position
 
-            if instruction.opcode is not Opcode.COLLECTIVE_PERMUTE_DONE:
-                for operand in instruction.operands:
-                    base = self._base[id(self._rep[id(operand)])]
-                    self._readers.setdefault(base, []).append(
-                        (position, instruction.name)
-                    )
+            # A Done's operand is its Start, which aliases the transfer
+            # operand — so this also records the deferred read at the Done.
+            for operand in instruction.operands:
+                base = self._base[id(self._rep[id(operand)])]
+                self._readers.setdefault(base, []).append(
+                    (position, instruction.name)
+                )
 
             if instruction.opcode in _ALIAS_OPS and instruction.operands:
                 operand_rep = self._rep[id(instruction.operands[0])]

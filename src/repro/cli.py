@@ -11,20 +11,15 @@ Commands:
 * ``chaos [--runs N] [--seed S] [--intensity I]`` — randomized seeded
   fault injection over the golden modules; exits non-zero if any run
   corrupts silently or fails without a typed, replayable error.
-* ``bench [--quick] [--output PATH] [--min-speedup X] [--baseline PATH]``
-  — time the interpreted executor against the compiled engine on the
-  golden modules and write ``BENCH_executor.json``; exits non-zero on
-  any bit-identity failure, a missed speedup floor, or a >20% trend
-  regression against a committed baseline report.
 * ``tune [--budget N] [--measure] [--db PATH] [--inspect] [--evict K]``
   — budgeted per-program search over overlap configs (scheduler,
   unrolling, bidirectional transfers, in-flight budget, decomposition
   granularity) on the golden modules, scored by perfsim (and measured
   engine runs with ``--measure``); persists winners in the
-  content-addressed tuning database that ``bench --tuned``,
-  ``serve --tuned`` and ``create_engine(..., tuned=True)`` pick up by
-  fingerprint with zero re-search. Exits non-zero if any tuned config
-  loses to the analytic default or diverges from the oracle.
+  content-addressed tuning database that ``serve --tuned`` and
+  ``create_engine(..., tuned=True)`` pick up by fingerprint with zero
+  re-search. Exits non-zero if any tuned config loses to the analytic
+  default or diverges from the oracle.
 * ``trace [--module M] [--devices N] [--out PATH] [--check]`` — run one
   golden module (baseline and decomposed) under both executors with a
   :class:`repro.obs.Tracer`, simulate the same programs in perfsim, and
@@ -298,7 +293,7 @@ def _cmd_chaos(args) -> int:
 
 
 def _oracle_engine(kind, workers, sanitize=False):
-    """Build the oracle/timed engine for ``repro chaos``/``repro bench``.
+    """Build the oracle engine for ``repro chaos``.
 
     Validation is :func:`create_engine`'s: unknown kinds and options
     that do not apply (``--workers`` or ``--sanitize`` on anything but
@@ -330,54 +325,6 @@ def _tuned_spec(args):
     if getattr(args, "tuning_db", None):
         return args.tuning_db
     return True if getattr(args, "tuned", False) else None
-
-
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.runtime.bench import (
-        check_report, compare_reports, format_report, run_bench, write_report,
-    )
-
-    try:
-        report = run_bench(
-            quick=args.quick,
-            repeats=args.repeats,
-            engine=args.engine,
-            workers=args.workers,
-            parallel=args.parallel,
-            tuned=_tuned_spec(args),
-            sanitize=args.sanitize,
-        )
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(format_report(report))
-    if args.output:
-        write_report(report, args.output)
-        print(f"wrote {args.output}")
-    # Bit-identity is always a gate — a bench run whose compiled outputs
-    # diverge from the oracle must fail even without an explicit floor.
-    problems = check_report(
-        report,
-        args.min_speedup if args.min_speedup is not None else 0.0,
-        min_parallel_speedup=args.min_parallel_speedup,
-    )
-    if args.baseline:
-        try:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            problems.append(
-                f"cannot read baseline report {args.baseline}: {error}"
-            )
-        else:
-            problems.extend(
-                compare_reports(baseline, report, max_drop=args.max_drop)
-            )
-    for problem in problems:
-        print(f"FAIL: {problem}", file=sys.stderr)
-    return 1 if problems else 0
 
 
 def _cmd_tune(args) -> int:
@@ -1106,78 +1053,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of wrong numbers)",
     )
     chaos.set_defaults(handler=_cmd_chaos)
-
-    bench = commands.add_parser(
-        "bench",
-        help="time the interpreted vs compiled executor on the golden set",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller grid and fewer repetitions (CI smoke mode)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing windows per measurement; best-of wins (default 3)",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_executor.json", metavar="PATH",
-        help="where to write the JSON report (default BENCH_executor.json; "
-        "empty string disables)",
-    )
-    bench.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless the geomean speedup reaches X",
-    )
-    bench.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="committed report to trend-gate against: fail if any shared "
-        "case's speedup drops more than --max-drop or bit-identity flips",
-    )
-    bench.add_argument(
-        "--max-drop", type=float, default=0.2, metavar="F",
-        help="allowed relative speedup drop vs --baseline (default 0.2)",
-    )
-    bench.add_argument(
-        "--engine", default="compiled", metavar="KIND",
-        help="engine timed against the interpreter (default compiled; "
-        "any registered kind — unknown kinds fail with the registry's "
-        "list)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker threads for --engine parallel (rejected loudly for "
-        "engines that take no workers); also sizes the --parallel sweep",
-    )
-    bench.add_argument(
-        "--parallel", action="store_true",
-        help="also run the large-ring parallel-vs-compiled sweep "
-        "(8/64/256 devices; 8/64 with --quick) and attach it to the "
-        "report's 'parallel' section",
-    )
-    bench.add_argument(
-        "--min-parallel-speedup", type=float, default=1.0, metavar="X",
-        help="with --parallel: fail unless the parallel/compiled geomean "
-        "at 8+ devices reaches X (default 1.0)",
-    )
-    bench.add_argument(
-        "--sanitize", action="store_true",
-        help="with --parallel: time the sweep with the runtime "
-        "concurrency sanitizer armed, so the speedup floor doubles as "
-        "the sanitizer-overhead gate",
-    )
-    bench.add_argument(
-        "--tuned", action="store_true",
-        help="attach the committed tuning database to the timed engine: "
-        "raw reference rows pick up autotuned overlap configs by content "
-        "fingerprint (rejected loudly for engines without tuning "
-        "support)",
-    )
-    bench.add_argument(
-        "--tuning-db", default=None, metavar="PATH",
-        help="tuning database to use with --tuned (default: "
-        "benchmarks/TUNING_DB.json or $REPRO_TUNING_DB; implies --tuned)",
-    )
-    bench.set_defaults(handler=_cmd_bench)
 
     tune = commands.add_parser(
         "tune",

@@ -2,8 +2,8 @@
 
 ``repro.obs`` is the shared trace/metrics/profiling substrate consumed
 by the interpreted :class:`~repro.runtime.executor.Executor`, the
-:class:`~repro.runtime.compile.CompiledExecutor`, the
-:class:`~repro.runtime.resilient.ResilientExecutor`, the chaos harness
+compiled and parallel plans (:class:`~repro.runtime.plan.CompiledPlan`),
+the :class:`~repro.runtime.resilient.ResilientExecutor`, the chaos harness
 and the performance simulator (whose
 :class:`~repro.perfsim.trace.Trace` is built on the same
 :class:`TraceEvent` schema, so simulated and measured timelines can be

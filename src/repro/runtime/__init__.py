@@ -4,8 +4,9 @@ The unified entry point is :func:`create_engine` — it returns one of the
 four back ends (interpreted oracle, compiled vectorized engine behind a
 content-addressed :class:`PlanCache`, the multi-worker parallel backend,
 resilient fault-tolerant interpreter) behind a single
-``run(module, inputs, mesh=...)`` signature. The legacy executor classes
-remain importable and functional but warn on direct construction.
+``run(module, inputs, mesh=...)`` signature. ``Executor`` and
+``ResilientExecutor`` are the implementation of the interpreted and
+resilient engines and stay importable as reference code.
 """
 
 from repro.runtime.collectives import (
@@ -17,7 +18,7 @@ from repro.runtime.collectives import (
     reduce_scatter,
     validate_permute_pairs,
 )
-from repro.runtime.compile import CompiledExecutor, lower, run_compiled
+from repro.runtime.compile import lower
 from repro.runtime.engine import (
     ENGINE_KINDS,
     CompiledEngine,
@@ -56,7 +57,6 @@ from repro.runtime.parallel import (  # noqa: E402
 __all__ = [
     "CacheStats",
     "CompiledEngine",
-    "CompiledExecutor",
     "CompiledPlan",
     "ENGINE_KINDS",
     "Engine",
@@ -87,7 +87,6 @@ __all__ = [
     "plan_key",
     "profile_memory",
     "reduce_scatter",
-    "run_compiled",
     "run_spmd",
     "run_with_fallback",
     "validate_permute_pairs",

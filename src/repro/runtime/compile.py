@@ -31,20 +31,30 @@ holds a folded constant, a While-loop boundary value, or (for body
 plans) a loop parameter. A runtime ``writeable`` guard backstops the
 analysis.
 
-Asynchronous permutes keep their issue-time snapshot semantics for free:
-the transferred payload is computed *at the start step* into a hidden
-slot, so later in-place writes to the operand cannot leak into the
-transfer; the matching ``done`` just reveals the hidden slot.
+Asynchronous permutes keep their issue-time snapshot semantics by
+*immutability*, not by copying: the ``start`` step is a pure passthrough
+of its operand, the operand buffer's liveness is extended to the matching
+``done`` (so nothing may donate or release it while the transfer is in
+flight), and the ``done`` materializes the permute into a hidden payload
+slot. An eager copy at the start was measured and dropped: it allocates
+the payload at issue and holds it across the whole in-flight window —
+2160 minor page faults per ``mlp-chain@64`` step against 192 deferred,
+28.0 vs 15.2 ms on the 64-device ring programs (DESIGN section 8).
 
-The original per-device ``Executor`` remains the correctness oracle;
-``CompiledExecutor`` is cross-checked against it bit for bit by the
-equivalence suite. Fault injection (``ResilientExecutor``) stays on the
-interpreted path, which this module does not touch.
+This is the only single-threaded lowering. The multi-worker backend
+(:mod:`repro.runtime.parallel.lowering`) runs the same front half through
+:func:`_lower_with` and swaps only the emission; with one worker it
+returns exactly the plan built here.
+
+The per-device ``Executor`` remains the correctness oracle; the compiled
+engine is cross-checked against it bit for bit by the equivalence suite.
+Fault injection (``ResilientExecutor``) stays on the interpreted path,
+which this module does not touch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,13 +64,8 @@ from repro.hlo.opcode import Opcode, SOURCE_OPS
 from repro.obs.events import instruction_bytes, phase_of
 from repro.obs.tracer import Tracer
 from repro.runtime import vectorized
-from repro.runtime._compat import internal_construction, warn_legacy_constructor
 from repro.runtime.collectives import validate_permute_pairs
-from repro.runtime.executor import (
-    ExecutionError,
-    PerDevice,
-    unknown_output_error,
-)
+from repro.runtime.executor import ExecutionError, unknown_output_error
 from repro.runtime.plan import (
     CompiledPlan,
     DonationRecord,
@@ -126,7 +131,7 @@ class _Node:
         self.instr = instr
         self.operands = operands
         self.out = out
-        self.payload = payload  # hidden in-flight slot of a permute start
+        self.payload = payload  # hidden slot the matching done fills
 
 
 def _resolve_outputs(
@@ -277,15 +282,20 @@ class _Lowering:
         num_devices: int,
         donate_params: bool,
         starts_with_live_done: frozenset,
+        lower_body: Callable[[HloModule, Sequence[str]], CompiledPlan],
     ) -> None:
         self.module = module
         self.n = num_devices
         self.donate_params = donate_params
         self.starts_with_live_done = starts_with_live_done
+        # Lowers a While body into the same plan flavour as this module.
+        self.lower_body = lower_body
         self.values: Dict[int, _Value] = {}       # id(instr) -> value
         self.buffers: Dict[int, _Buffer] = {}     # owner slot -> buffer
         self.initial_env: List[Optional[np.ndarray]] = []
         self.nodes: List[_Node] = []
+        self.start_nodes: Dict[int, _Node] = {}   # id(start instr) -> node
+        self.output_values: List[_Value] = []
         self.params: List[ParamBinding] = []
         self.cse: Dict[Tuple, _Value] = {}
         self.folded = 0
@@ -297,6 +307,7 @@ class _Lowering:
         # CSE representative); lets donation records name real HLO values.
         self.slot_producer: Dict[int, str] = {}
         self.nested_stats: List[PlanStats] = []
+        self.body_plans: List[CompiledPlan] = []
         # Shared with the emitted While steps so traced runs reach into
         # body plans; None outside execute_traced.
         self.tracer_box: List[Optional[Tracer]] = [None]
@@ -381,6 +392,8 @@ class _Lowering:
         self._register(instr, node.out)
         if node.payload is not None:
             self._register(instr, node.payload)
+        if instr.opcode is Opcode.COLLECTIVE_PERMUTE_START:
+            self.start_nodes[id(instr)] = node
         self.nodes.append(node)
         if key is not None:
             self.cse[key] = node.out
@@ -398,14 +411,14 @@ class _Lowering:
             return _Node(instr, operands, self._view(operands[0]))
         if opcode is Opcode.COLLECTIVE_PERMUTE_START:
             out = self._view(operands[0])     # passthrough of the operand
-            payload = (                       # the in-flight snapshot
+            payload = (                       # where the transfer lands
                 self._fresh()
                 if id(instr) in self.starts_with_live_done else None
             )
             return _Node(instr, operands, out, payload=payload)
         if opcode is Opcode.COLLECTIVE_PERMUTE_DONE:
             start_node = self._start_node_of(instr)
-            # The done reveals the hidden payload computed at issue time.
+            # The done fills the hidden payload slot and reveals it.
             return _Node(
                 instr, [start_node.payload], self._view(start_node.payload)
             )
@@ -418,17 +431,22 @@ class _Lowering:
         return _Node(instr, operands, self._fresh())
 
     def _start_node_of(self, done: Instruction) -> _Node:
-        start = done.operands[0]
-        for node in reversed(self.nodes):
-            if node.instr is start:
-                return node
-        raise ExecutionError(  # pragma: no cover - verify() precludes it
-            f"{done.name} consumes {start.name} which was not lowered"
-        )
+        return self.start_nodes[id(done.operands[0])]
+
+    def lower_while_body(self, node: _Node) -> CompiledPlan:
+        """Lower a While node's body and fold its stats, donation
+        records and plan into this lowering's."""
+        attrs = node.instr.attrs
+        body_plan = self.lower_body(attrs["body"], attrs["body_outputs"])
+        self.nested_stats.append(body_plan.stats)
+        self.donation_records.extend(body_plan.donations)
+        self.body_plans.append(body_plan)
+        return body_plan
 
     # --- liveness ------------------------------------------------------------
 
     def compute_liveness(self, output_values: Sequence[_Value]) -> None:
+        self.output_values = list(output_values)
         horizon = len(self.nodes)
         for t, node in enumerate(self.nodes):
             for value in node.operands:
@@ -436,12 +454,30 @@ class _Lowering:
         for value in output_values:
             self.buffers[value.buffer].last_use = horizon
 
-    def releases_at(self, t: int) -> Tuple[int, ...]:
-        slots: List[int] = []
+    def pin_async_operands(self) -> None:
+        """Extend each async permute operand's liveness to its done step.
+
+        The single-threaded start is a pure passthrough; the done reads
+        the operand *then* — so the operand buffer must stay unreleased
+        and undonated for the whole in-flight window (snapshot-at-issue
+        by immutability). This can only remove donations, never
+        unsoundly add one.
+        """
+        for t, node in enumerate(self.nodes):
+            if node.instr.opcode is Opcode.COLLECTIVE_PERMUTE_DONE:
+                operand = self._start_node_of(node.instr).operands[0]
+                buffer = self.buffers[operand.buffer]
+                buffer.last_use = max(buffer.last_use, t)
+
+    def release_index(self) -> Dict[int, List[int]]:
+        """``step -> slots to free after it``: every slot of each
+        non-constant buffer, filed under the buffer's last use (buffers
+        in creation order). Build it after all liveness edits."""
+        index: Dict[int, List[int]] = {}
         for buffer in self.buffers.values():
-            if buffer.last_use == t and not buffer.is_const:
-                slots.extend(buffer.slots)
-        return tuple(slots)
+            if not buffer.is_const:
+                index.setdefault(buffer.last_use, []).extend(buffer.slots)
+        return index
 
     def may_donate(self, node_index: int, candidate: _Value,
                    others: Sequence[_Value]) -> bool:
@@ -503,14 +539,34 @@ class _Lowering:
                     env[so] = np.negative(env[s0])
             return step
 
-        if opcode in (
-            Opcode.COPY,
-            Opcode.COLLECTIVE_PERMUTE_DONE,
-        ):
+        if opcode in (Opcode.COPY, Opcode.COLLECTIVE_PERMUTE_START):
+            # A start only passes its operand through; the transfer is
+            # materialized by the matching done (pin_async_operands keeps
+            # the operand frozen until then). A start whose done is dead
+            # has no payload and nothing to validate.
+            if node.payload is not None:
+                validate_permute_pairs(instr.pairs, n)
             (s0,) = slots
 
             def step(env, it):
                 env[so] = env[s0]
+            return step
+
+        if opcode is Opcode.COLLECTIVE_PERMUTE_DONE:
+            start_node = self._start_node_of(instr)
+            s_operand = start_node.operands[0].slot
+            (sp,) = slots                     # the hidden payload slot
+            sources, destinations = vectorized.permute_index(
+                start_node.instr.pairs
+            )
+            kernel = vectorized.deferred_permute(
+                sources, destinations, start_node.instr.shape.stacked(n)
+            )
+
+            def step(env, it):
+                out = kernel(env[s_operand])
+                env[sp] = out
+                env[so] = out
             return step
 
         if opcode is Opcode.RESHAPE:
@@ -630,14 +686,7 @@ class _Lowering:
             return step
 
         if opcode is Opcode.WHILE:
-            body_plan = lower(
-                attrs["body"],
-                n,
-                outputs=attrs["body_outputs"],
-                donate_params=False,
-            )
-            self.nested_stats.append(body_plan.stats)
-            self.donation_records.extend(body_plan.donations)
+            body_plan = self.lower_while_body(node)
             trip_count = attrs["trip_count"]
             result_index = attrs["result_index"]
             state_slots = tuple(slots)
@@ -704,25 +753,6 @@ class _Lowering:
                 )
             return step
 
-        if opcode is Opcode.COLLECTIVE_PERMUTE_START:
-            (s0,) = slots
-            if node.payload is None:
-                def step(env, it):
-                    env[so] = env[s0]
-                return step
-            validate_permute_pairs(instr.pairs, n)
-            sources, destinations = vectorized.permute_index(instr.pairs)
-            sp = node.payload.slot
-
-            # The snapshot semantics: the payload is computed at *issue*
-            # time, so later writes to the operand cannot leak into it.
-            def step(env, it):
-                env[so] = env[s0]
-                env[sp] = vectorized.collective_permute(
-                    env[s0], sources, destinations
-                )
-            return step
-
         raise ExecutionError(f"unsupported opcode {opcode.value}")
 
 
@@ -737,6 +767,128 @@ def _live_set(module: HloModule, wanted: Sequence[str]) -> Dict[int, bool]:
         live[id(instr)] = True
         stack.extend(instr.operands)
     return live
+
+
+def _node_label(node: _Node, releases: Tuple[int, ...]) -> str:
+    return (
+        f"[{node.out.slot:3d}] {node.instr.name} = "
+        f"{node.instr.opcode.value}"
+        + (f" (free {list(releases)})" if releases else "")
+    )
+
+
+def _node_meta(node: _Node) -> StepMeta:
+    instr = node.instr
+    return StepMeta(
+        name=instr.name,
+        opcode=instr.opcode.value,
+        kind=phase_of(instr.opcode),
+        bytes=instruction_bytes(instr),
+        transfer_of=(
+            instr.operands[0].name
+            if instr.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
+            else None
+        ),
+    )
+
+
+def _with_releases(step, releases: Tuple[int, ...]):
+    def wrapped(env, it):
+        step(env, it)
+        for slot in releases:
+            env[slot] = None
+    return wrapped
+
+
+def _emit_steps(low: _Lowering) -> Dict[str, Any]:
+    """The single-threaded emission: one closure (freeing the buffers
+    that die at it), one label and one :class:`StepMeta` per node."""
+    low.pin_async_operands()
+    dying = low.release_index()
+    steps, labels, metas = [], [], []
+    for t, node in enumerate(low.nodes):
+        step = low.emit(t, node)
+        releases = tuple(
+            s for s in dying.get(t, ()) if s != node.out.slot
+        )
+        if releases:
+            step = _with_releases(step, releases)
+        steps.append(step)
+        labels.append(_node_label(node, releases))
+        metas.append(_node_meta(node))
+    return {"steps": steps, "labels": labels, "meta": metas}
+
+
+def _lower_with(
+    module: HloModule,
+    num_devices: int,
+    outputs: Optional[Sequence[str]],
+    donate_params: bool,
+    emit: Callable[[_Lowering], Dict[str, Any]],
+    plan_type: Callable[..., CompiledPlan],
+) -> CompiledPlan:
+    """The one lowering front half, shared by every plan flavour.
+
+    Verify, DCE, the instruction walk (folding, CSE, view tracking) and
+    liveness run here; ``emit(low)`` then builds the step closures and
+    returns the ``plan_type`` keywords it owns (``steps``/``labels``/
+    ``meta``, plus the worker split for parallel plans). Stats are taken
+    after emission because donations are decided and While bodies lowered
+    there; bodies recurse with the same ``emit`` and ``plan_type``.
+    """
+    module.verify()
+    wanted = _resolve_outputs(module, outputs)
+    live = _live_set(module, wanted)
+    # Parameters always get a binding (plan.run validates all arguments,
+    # like the interpreter); a done keeps nothing extra alive — its start
+    # is its operand, so reachability already covers it.
+    instructions = [
+        i for i in module
+        if id(i) in live or i.opcode is Opcode.PARAMETER
+    ]
+    starts_with_live_done = frozenset(
+        id(i.operands[0]) for i in instructions
+        if i.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
+    )
+    low = _Lowering(
+        module, num_devices, donate_params, starts_with_live_done,
+        lower_body=lambda body, body_outputs: _lower_with(
+            body, num_devices, body_outputs, False, emit, plan_type
+        ),
+    )
+    for instr in instructions:
+        low.add_instruction(instr)
+    output_values = [low.values[id(module.get(name))] for name in wanted]
+    low.compute_liveness(output_values)
+
+    emitted = emit(low)
+
+    stats = PlanStats(
+        instructions=len(instructions),
+        steps=len(low.nodes),
+        dce_eliminated=len(module) - len(instructions),
+        folded=low.folded,
+        cse_eliminated=low.cse_eliminated,
+        copies_elided=low.copies_elided,
+        donations=low.donations,
+    )
+    for nested in low.nested_stats:
+        stats = stats.merge(nested)
+
+    return plan_type(
+        module_name=module.name,
+        num_devices=num_devices,
+        initial_env=low.initial_env,
+        params=low.params,
+        output_slots={
+            name: value.slot for name, value in zip(wanted, output_values)
+        },
+        output_order=wanted,
+        stats=stats,
+        tracer_box=low.tracer_box,
+        donations=tuple(low.donation_records),
+        **emitted,
+    )
 
 
 def lower(
@@ -756,176 +908,7 @@ def lower(
     """
     if num_devices <= 0:
         raise ValueError("num_devices must be positive")
-    module.verify()
-    wanted = _resolve_outputs(module, outputs)
-    live = _live_set(module, wanted)
-    # Parameters always get a binding (plan.run validates all arguments,
-    # like the interpreter); a done keeps nothing extra alive — its start
-    # is its operand, so reachability already covers it.
-    instructions = [
-        i for i in module
-        if id(i) in live or i.opcode is Opcode.PARAMETER
-    ]
-    starts_with_live_done = frozenset(
-        id(i.operands[0]) for i in instructions
-        if i.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
+    return _lower_with(
+        module, num_devices, outputs, donate_params, _emit_steps,
+        CompiledPlan,
     )
-
-    lowering = _Lowering(
-        module, num_devices, donate_params, starts_with_live_done
-    )
-    for instr in instructions:
-        lowering.add_instruction(instr)
-
-    output_values = [
-        lowering.values[id(module.get(name))] for name in wanted
-    ]
-    lowering.compute_liveness(output_values)
-
-    steps = []
-    labels = []
-    metas = []
-    for t, node in enumerate(lowering.nodes):
-        step = lowering.emit(t, node)
-        releases = tuple(
-            s for s in lowering.releases_at(t)
-            if s != node.out.slot
-            and (node.payload is None or s != node.payload.slot)
-        )
-        if releases:
-            step = _with_releases(step, releases)
-        steps.append(step)
-        labels.append(
-            f"[{node.out.slot:3d}] {node.instr.name} = "
-            f"{node.instr.opcode.value}"
-            + (f" (free {list(releases)})" if releases else "")
-        )
-        instr = node.instr
-        metas.append(StepMeta(
-            name=instr.name,
-            opcode=instr.opcode.value,
-            kind=phase_of(instr.opcode),
-            bytes=instruction_bytes(instr),
-            transfer_of=(
-                instr.operands[0].name
-                if instr.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
-                else None
-            ),
-        ))
-
-    stats = PlanStats(
-        instructions=len(instructions),
-        steps=len(steps),
-        dce_eliminated=len(module) - len(instructions),
-        folded=lowering.folded,
-        cse_eliminated=lowering.cse_eliminated,
-        copies_elided=lowering.copies_elided,
-        donations=lowering.donations,
-    )
-    for nested in lowering.nested_stats:
-        stats = stats.merge(nested)
-
-    return CompiledPlan(
-        module_name=module.name,
-        num_devices=num_devices,
-        steps=steps,
-        labels=labels,
-        initial_env=lowering.initial_env,
-        params=lowering.params,
-        output_slots={
-            name: value.slot for name, value in zip(wanted, output_values)
-        },
-        output_order=wanted,
-        stats=stats,
-        meta=metas,
-        tracer_box=lowering.tracer_box,
-        donations=tuple(lowering.donation_records),
-    )
-
-
-def _with_releases(step, releases: Tuple[int, ...]):
-    def wrapped(env, it):
-        step(env, it)
-        for slot in releases:
-            env[slot] = None
-    return wrapped
-
-
-# --- the compiled executor ---------------------------------------------------
-
-
-class CompiledExecutor:
-    """Drop-in, vectorized counterpart of :class:`Executor`.
-
-    Lowers each module once (per requested output set) and caches the
-    plan; subsequent runs only execute the flat step list. The cache is
-    invalidated when the module's instruction list changes identity
-    (compiler passes rebuild or reorder the list); mutating an
-    instruction's ``attrs`` in place without touching the list is not
-    detected — recreate the executor after such edits.
-
-    Fault injection stays on the interpreted path: use
-    :class:`~repro.runtime.resilient.ResilientExecutor` for chaos runs
-    and this class for clean, fast execution (e.g. as the chaos oracle).
-    """
-
-    def __init__(
-        self, num_devices: int, tracer: Optional[Tracer] = None
-    ) -> None:
-        if type(self) is CompiledExecutor:
-            warn_legacy_constructor("CompiledExecutor")
-        if num_devices <= 0:
-            raise ValueError("num_devices must be positive")
-        self.num_devices = num_devices
-        self.tracer = tracer
-        self._plans: Dict[Tuple, Tuple[Tuple, CompiledPlan]] = {}
-
-    def plan_for(
-        self,
-        module: HloModule,
-        outputs: Optional[Sequence[str]] = None,
-    ) -> CompiledPlan:
-        key = (id(module), tuple(outputs) if outputs is not None else None)
-        fingerprint = tuple(id(i) for i in module)
-        cached = self._plans.get(key)
-        if cached is not None and cached[0] == fingerprint:
-            if self.tracer is not None:
-                self.tracer.count("plan.cache_hits")
-            return cached[1]
-        plan = lower(module, self.num_devices, outputs)
-        self._plans[key] = (fingerprint, plan)
-        if self.tracer is not None:
-            self.tracer.count("plan.cache_misses")
-            self.tracer.count("plan.donations", plan.stats.donations)
-        return plan
-
-    def run(
-        self,
-        module: HloModule,
-        arguments: Dict[str, Sequence[np.ndarray]],
-        outputs: Optional[Sequence[str]] = None,
-        iteration: int = 0,
-    ) -> Dict[str, PerDevice]:
-        """Execute ``module``; same contract as :meth:`Executor.run`.
-
-        Returned shards are row views into stacked buffers — read-only
-        by convention.
-        """
-        return self.plan_for(module, outputs).run(
-            arguments, iteration, tracer=self.tracer
-        )
-
-
-def run_compiled(
-    module: HloModule,
-    arguments: Dict[str, Sequence[np.ndarray]],
-    num_devices: int,
-    outputs: Optional[Sequence[str]] = None,
-) -> Dict[str, PerDevice]:
-    """Convenience wrapper around :class:`CompiledExecutor` (one-shot:
-    lowers, runs once and discards the plan — use
-    :func:`repro.runtime.create_engine` with a shared plan cache to
-    amortize)."""
-    with internal_construction():
-        executor = CompiledExecutor(num_devices)
-    return executor.run(module, arguments, outputs)

@@ -1,13 +1,12 @@
 """The unified Engine facade over the execution back ends.
 
-Every entry point that used to hand-pick one of the executor classes —
-the interpreted oracle (:class:`~repro.runtime.executor.Executor`), the
-compiled vectorized engine
-(:class:`~repro.runtime.compile.CompiledExecutor`), the
+Every back end — the interpreted oracle
+(:class:`~repro.runtime.executor.Executor`), the compiled vectorized
+engine (:func:`~repro.runtime.compile.lower` behind a plan cache), the
 fault-tolerant interpreter
 (:class:`~repro.runtime.resilient.ResilientExecutor`) and the
-multi-worker parallel backend (:mod:`repro.runtime.parallel`) — goes
-through one protocol instead:
+multi-worker parallel backend (:mod:`repro.runtime.parallel`) — is
+reached through one protocol:
 
     engine = create_engine("compiled")
     outputs = engine.run(module, inputs, mesh=mesh)
@@ -19,9 +18,11 @@ fingerprint plus the device count, so lowering happens once per
 program, not once per call — the property the serving subsystem
 (:mod:`repro.serve`) is built on.
 
-The legacy constructors keep working but emit a ``DeprecationWarning``;
-the engines construct them through
-:func:`repro.runtime._compat.internal_construction`.
+``Executor`` and ``ResilientExecutor`` are the *implementation* of the
+interpreted and resilient engines (the oracle and the fault path that
+tests compare against); there is one compiled engine body, and
+:class:`~repro.runtime.parallel.engine.ParallelEngine` subclasses it,
+overriding only how a plan is keyed, lowered and run.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ if TYPE_CHECKING:
 import numpy as np
 
 from repro.obs.tracer import Tracer
-from repro.runtime._compat import internal_construction
 from repro.runtime.plan import CompiledPlan
 from repro.runtime.plan_cache import PlanCache, plan_key
 
@@ -216,7 +216,7 @@ class Engine(abc.ABC):
     ) -> Dict[str, PerDevice]:
         """Execute ``module`` with per-device shard lists ``inputs`` on
         ``mesh`` (a DeviceMesh or a device count); same output contract
-        as the legacy ``Executor.run``."""
+        as ``Executor.run``."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} kind={self.kind!r}>"
@@ -242,21 +242,17 @@ class InterpretedEngine(Engine):
     ):
         from repro.runtime.executor import Executor
 
-        with internal_construction():
-            executor = Executor(
-                _num_devices(mesh), tracer=tracer or self.tracer
-            )
+        executor = Executor(_num_devices(mesh), tracer=tracer or self.tracer)
         return executor.run(module, inputs, outputs, iteration)
 
 
 class CompiledEngine(Engine):
     """The vectorized engine, fronted by a content-addressed plan cache.
 
-    Unlike the legacy ``CompiledExecutor`` (whose per-instance cache was
-    keyed on module *identity*), the plan cache is keyed on the module's
-    content fingerprint — two separately built copies of the same
-    program share one plan, and the cache can be shared across engines,
-    serving workers and benchmark sweeps.
+    The plan cache is keyed on the module's content fingerprint — two
+    separately built copies of the same program share one plan, and the
+    cache can be shared across engines, serving workers and benchmark
+    sweeps.
 
     ``tuned`` attaches a tuning database (``True`` = the committed
     default, a path, or a :class:`~repro.tune.db.TuningDB`): raw
@@ -292,8 +288,6 @@ class CompiledEngine(Engine):
     ) -> CompiledPlan:
         """The cached lowered plan for ``module`` on ``num_devices``
         (or ``mesh``); lowers on first use."""
-        from repro.runtime.compile import lower
-
         if num_devices is None:
             if mesh is None:
                 raise ValueError("plan_for needs num_devices or mesh")
@@ -302,16 +296,10 @@ class CompiledEngine(Engine):
             module,
             num_devices=num_devices,
             outputs=outputs,
-            options=("donate_params", self.donate_params),
+            options=self._key_options(num_devices),
         )
         plan, hit = self.plan_cache.get_or_build(
-            key,
-            lambda: lower(
-                module,
-                num_devices,
-                outputs,
-                donate_params=self.donate_params,
-            ),
+            key, lambda: self._lower(module, num_devices, outputs)
         )
         tracer = tracer or self.tracer
         if tracer is not None:
@@ -319,6 +307,24 @@ class CompiledEngine(Engine):
             if not hit:
                 tracer.count("plan.donations", plan.stats.donations)
         return plan
+
+    # The three things a subclass back end changes: what distinguishes
+    # its plans in the cache, how it lowers, and how it runs a plan.
+
+    def _key_options(self, num_devices: int) -> Tuple:
+        return ("donate_params", self.donate_params)
+
+    def _lower(self, module, num_devices: int, outputs) -> CompiledPlan:
+        # Resolved per call so a caller that rebinds the module-level
+        # name (the benchmark's span recorder) sees every lowering.
+        from repro.runtime.compile import lower
+
+        return lower(
+            module, num_devices, outputs, donate_params=self.donate_params
+        )
+
+    def _run_plan(self, plan, inputs, iteration: int, tracer):
+        return plan.run(inputs, iteration, tracer=tracer)
 
     def run(
         self,
@@ -341,7 +347,7 @@ class CompiledEngine(Engine):
         plan = self.plan_for(
             module, _num_devices(mesh), outputs, tracer=tracer
         )
-        values = plan.run(inputs, iteration, tracer=tracer)
+        values = self._run_plan(plan, inputs, iteration, tracer)
         if outputs is None and root is not None:
             # A content-cache hit returns the plan lowered from an
             # *earlier*, content-identical module whose auto-generated
@@ -388,13 +394,12 @@ class ResilientEngine(Engine):
     ):
         from repro.runtime.resilient import ResilientExecutor
 
-        with internal_construction():
-            executor = ResilientExecutor(
-                _num_devices(mesh),
-                injector=self.injector,
-                policy=self.policy,
-                tracer=tracer or self.tracer,
-            )
+        executor = ResilientExecutor(
+            _num_devices(mesh),
+            injector=self.injector,
+            policy=self.policy,
+            tracer=tracer or self.tracer,
+        )
         values = executor.run(module, inputs, outputs, iteration)
         self.last_stats = executor.stats
         return values

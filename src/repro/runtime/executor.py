@@ -31,7 +31,6 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import Tracer
 from repro.runtime import collectives
-from repro.runtime._compat import internal_construction, warn_legacy_constructor
 
 PerDevice = List[np.ndarray]
 
@@ -74,8 +73,6 @@ class Executor:
     def __init__(
         self, num_devices: int, tracer: Optional[Tracer] = None
     ) -> None:
-        if type(self) is Executor:
-            warn_legacy_constructor("Executor")
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")
         self.num_devices = num_devices
@@ -354,6 +351,4 @@ def run_spmd(
     outputs: Optional[Sequence[str]] = None,
 ) -> Dict[str, PerDevice]:
     """Convenience wrapper around :class:`Executor`."""
-    with internal_construction():
-        executor = Executor(num_devices)
-    return executor.run(module, arguments, outputs)
+    return Executor(num_devices).run(module, arguments, outputs)

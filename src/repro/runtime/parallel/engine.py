@@ -1,11 +1,11 @@
-"""The parallel engine: CompiledEngine semantics, multi-worker plans.
+"""The parallel engine: the compiled engine, multi-worker plans.
 
-``ParallelEngine`` is plug-compatible with
-:class:`~repro.runtime.engine.CompiledEngine` — same plan-cache
-behavior, same root-rekey on content-cache hits, same tracer counters —
-but lowers through :func:`~repro.runtime.parallel.lowering.lower_parallel`
-into :class:`~repro.runtime.parallel.plan.ParallelPlan`s whose execution
-is partitioned across ``workers`` threads. The worker count participates
+``ParallelEngine`` *is* a :class:`~repro.runtime.engine.CompiledEngine`
+— same plan cache, tuned-module swap, root rekey and tracer counters,
+all inherited — that lowers through
+:func:`~repro.runtime.parallel.lowering.lower_parallel` into
+:class:`~repro.runtime.parallel.plan.ParallelPlan`s whose execution is
+partitioned across ``workers`` threads. The worker count participates
 in the plan-cache key, so one shared cache can hold plans for several
 worker counts side by side.
 """
@@ -13,14 +13,14 @@ worker counts side by side.
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 from repro.obs.tracer import Tracer
-from repro.runtime.engine import Engine, MeshLike, _num_devices
-from repro.runtime.plan_cache import PlanCache, plan_key
+from repro.runtime.engine import CompiledEngine, TunedLike
+from repro.runtime.plan_cache import PlanCache
 
 
-class ParallelEngine(Engine):
+class ParallelEngine(CompiledEngine):
     """The multi-worker shared-memory backend.
 
     ``workers=None`` sizes the pool from ``os.cpu_count()``; either way
@@ -35,19 +35,14 @@ class ParallelEngine(Engine):
         plan_cache: Optional[PlanCache] = None,
         donate_params: bool = True,
         workers: Optional[int] = None,
-        tuned=None,
+        tuned: TunedLike = None,
         tracer: Optional[Tracer] = None,
         sanitize: bool = False,
     ) -> None:
-        from repro.tune.db import resolve_tuning_db
-
         if workers is not None and workers < 1:
             raise ValueError("workers must be a positive integer")
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.donate_params = donate_params
+        super().__init__(plan_cache, donate_params, tuned, tracer)
         self.workers = workers
-        self.tuning_db = resolve_tuning_db(tuned)
-        self.tracer = tracer
         # Execution-time instrumentation only — deliberately NOT part of
         # the plan-cache key: a sanitized and an unsanitized engine can
         # share one cache and the same lowered plans.
@@ -58,78 +53,24 @@ class ParallelEngine(Engine):
         requested = self.workers or os.cpu_count() or 1
         return max(1, min(requested, num_devices))
 
-    def plan_for(
-        self,
-        module,
-        num_devices: Optional[int] = None,
-        outputs: Optional[Sequence[str]] = None,
-        *,
-        mesh: Optional[MeshLike] = None,
-        tracer: Optional[Tracer] = None,
-    ):
-        """The cached :class:`ParallelPlan` for ``module`` on
-        ``num_devices`` (or ``mesh``); lowers on first use."""
+    def _key_options(self, num_devices: int) -> Tuple:
+        return (
+            "parallel", self.effective_workers(num_devices),
+        ) + super()._key_options(num_devices)
+
+    def _lower(self, module, num_devices: int, outputs):
+        # Resolved per call, like CompiledEngine._lower.
         from repro.runtime.parallel.lowering import lower_parallel
 
-        if num_devices is None:
-            if mesh is None:
-                raise ValueError("plan_for needs num_devices or mesh")
-            num_devices = _num_devices(mesh)
-        workers = self.effective_workers(num_devices)
-        key = plan_key(
+        return lower_parallel(
             module,
-            num_devices=num_devices,
-            outputs=outputs,
-            options=(
-                "parallel", workers, "donate_params", self.donate_params
-            ),
+            num_devices,
+            outputs,
+            workers=self.effective_workers(num_devices),
+            donate_params=self.donate_params,
         )
-        plan, hit = self.plan_cache.get_or_build(
-            key,
-            lambda: lower_parallel(
-                module,
-                num_devices,
-                outputs,
-                workers=workers,
-                donate_params=self.donate_params,
-            ),
-        )
-        tracer = tracer or self.tracer
-        if tracer is not None:
-            tracer.count("plan.cache_hits" if hit else "plan.cache_misses")
-            if not hit:
-                tracer.count("plan.donations", plan.stats.donations)
-        return plan
 
-    def run(
-        self,
-        module,
-        inputs,
-        *,
-        mesh,
-        outputs=None,
-        iteration=0,
-        tracer=None,
-    ):
-        from repro.runtime.engine import resolve_tuned_module
-
-        tracer = tracer or self.tracer
-        root = module.root.name if module.root is not None else None
-        if self.tuning_db is not None:
-            module = resolve_tuned_module(
-                module, mesh, self.tuning_db, tracer
-            )
-        plan = self.plan_for(
-            module, _num_devices(mesh), outputs, tracer=tracer
-        )
-        values = plan.run(
+    def _run_plan(self, plan, inputs, iteration: int, tracer):
+        return plan.run(
             inputs, iteration, tracer=tracer, sanitize=self.sanitize
         )
-        if outputs is None and root is not None:
-            # Same root-rekey as CompiledEngine.run: a content-cache hit
-            # may have been lowered from an earlier module whose
-            # auto-generated root name differs.
-            if root not in values and len(values) == 1:
-                (value,) = values.values()
-                return {root: value}
-        return values

@@ -1,18 +1,15 @@
 """Lowering HLO modules to :class:`ParallelPlan`s.
 
-This reuses the whole single-pass analysis machinery of
-:mod:`repro.runtime.compile` — DCE, constant folding, CSE, view-chain
-buffer tracking, liveness and donation — via :class:`_Lowering`, and
-swaps only the closure emission:
+The whole single-pass analysis of :mod:`repro.runtime.compile` — DCE,
+constant folding, CSE, view-chain buffer tracking, liveness and
+donation — runs once, in :func:`~repro.runtime.compile._lower_with`;
+this module supplies only the emission:
 
-* ``workers == 1``: every step is the compiled engine's own closure,
-  except async collective permutes, which become *deferred*: the start
-  is a pure passthrough (the operand buffer's liveness is pinned to the
-  matching done, so nothing can mutate or release it while the
-  transfer is in flight — snapshot-at-issue by immutability instead of
-  by copying) and the done materializes the permute with
-  :func:`~repro.runtime.parallel.shard_ops.deferred_permute`, skipping
-  the eager kernel's zero-fill pass.
+* ``workers == 1``: the compiled engine's own emission, unchanged (its
+  async permutes are already deferred: passthrough start, operand pinned
+  until the done materializes the permute). The plan differs from
+  :func:`~repro.runtime.compile.lower`'s only in carrying the
+  concurrency model the verifier and the pin-window sanitizer read.
 
 * ``workers > 1``: each worker gets its own step list writing only the
   device rows it owns. Elementwise/window ops slice the shared stacked
@@ -31,23 +28,23 @@ before any later overwrite.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hlo.instruction import ShardIndex
 from repro.hlo.module import HloModule
 from repro.hlo.opcode import Opcode
-from repro.obs.events import instruction_bytes, phase_of
 from repro.runtime import vectorized
 from repro.runtime.collectives import validate_permute_pairs
 from repro.runtime.compile import (
     _UFUNCS,
     _Lowering,
     _Node,
-    _live_set,
-    _resolve_outputs,
-    _with_releases,
+    _emit_steps,
+    _lower_with,
+    _node_label,
+    _node_meta,
 )
 from repro.runtime.executor import ExecutionError
 from repro.runtime.parallel import shard_ops
@@ -60,7 +57,6 @@ from repro.runtime.parallel.plan import (
     WorkerStep,
     run_worker_steps,
 )
-from repro.runtime.plan import PlanStats, StepMeta
 
 
 class _Counters:
@@ -83,242 +79,45 @@ def lower_parallel(
     """Lower ``module`` once into a :class:`ParallelPlan`.
 
     ``workers`` is clamped to ``[1, num_devices]``; a single worker
-    yields the inline (compiled-equivalent) mode.
+    yields the compiled plan with its concurrency model attached.
     """
     if num_devices <= 0:
         raise ValueError("num_devices must be positive")
     workers = max(1, min(int(workers), num_devices))
-    return _lower(
-        module, num_devices, outputs, workers, donate_params, _Counters()
+    bounds = _worker_bounds(num_devices, workers)
+    counters = _Counters()
+
+    def emit(low: _Lowering) -> Dict[str, Any]:
+        uid = next(counters.uids)   # before emission: bodies number after
+        if workers == 1:
+            emitted = _emit_steps(low)
+            emitted["model"] = build_inline_model(low, uid)
+        else:
+            emitter = _SlicedEmitter(low, workers, bounds, counters)
+            worker_steps, labels, metas = emitter.emit_all()
+            emitted = {
+                "steps": (),
+                "worker_steps": worker_steps,
+                "labels": labels,
+                "meta": metas,
+                "arena_spec": emitter.arena_spec,
+                "model": build_sliced_model(
+                    low, emitter.routes, workers, bounds, uid
+                ),
+            }
+        return dict(
+            emitted, workers=workers, bounds=bounds, uid=uid,
+            body_plans=low.body_plans,
+        )
+
+    return _lower_with(
+        module, num_devices, outputs, donate_params, emit, ParallelPlan
     )
 
 
 def _worker_bounds(num_devices: int, workers: int) -> Tuple[int, ...]:
     """Contiguous row split: worker ``w`` owns ``[bounds[w], bounds[w+1])``."""
     return tuple(num_devices * w // workers for w in range(workers + 1))
-
-
-def _node_meta(node: _Node) -> StepMeta:
-    instr = node.instr
-    return StepMeta(
-        name=instr.name,
-        opcode=instr.opcode.value,
-        kind=phase_of(instr.opcode),
-        bytes=instruction_bytes(instr),
-        transfer_of=(
-            instr.operands[0].name
-            if instr.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
-            else None
-        ),
-    )
-
-
-def _node_label(node: _Node, releases: Tuple[int, ...]) -> str:
-    return (
-        f"[{node.out.slot:3d}] {node.instr.name} = "
-        f"{node.instr.opcode.value}"
-        + (f" (free {list(releases)})" if releases else "")
-    )
-
-
-def _lower(
-    module: HloModule,
-    num_devices: int,
-    outputs: Optional[Sequence[str]],
-    workers: int,
-    donate_params: bool,
-    counters: _Counters,
-) -> ParallelPlan:
-    module.verify()
-    wanted = _resolve_outputs(module, outputs)
-    live = _live_set(module, wanted)
-    instructions = [
-        i for i in module
-        if id(i) in live or i.opcode is Opcode.PARAMETER
-    ]
-    starts_with_live_done = frozenset(
-        id(i.operands[0]) for i in instructions
-        if i.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
-    )
-    low = _Lowering(
-        module, num_devices, donate_params, starts_with_live_done
-    )
-    for instr in instructions:
-        low.add_instruction(instr)
-    output_values = [
-        low.values[id(module.get(name))] for name in wanted
-    ]
-    low.compute_liveness(output_values)
-    uid = next(counters.uids)
-    bounds = _worker_bounds(num_devices, workers)
-
-    output_buffers = tuple(v.buffer for v in output_values)
-    if workers == 1:
-        _pin_deferred_operands(low)
-        steps, labels, metas, body_plans = _emit_inline(low, counters)
-        worker_steps: Sequence[Sequence[WorkerStep]] = ()
-        arena_spec: Dict[int, Tuple[int, ...]] = {}
-        model = build_inline_model(low, uid, module.name, output_buffers)
-    else:
-        emitter = _SlicedEmitter(low, workers, bounds, counters)
-        worker_steps, labels, metas = emitter.emit_all()
-        steps = ()
-        body_plans = emitter.body_plans
-        arena_spec = emitter.arena_spec
-        model = build_sliced_model(
-            low, emitter.routes, workers, bounds, uid, module.name,
-            output_buffers,
-        )
-
-    stats = PlanStats(
-        instructions=len(instructions),
-        steps=len(low.nodes),
-        dce_eliminated=len(module) - len(instructions),
-        folded=low.folded,
-        cse_eliminated=low.cse_eliminated,
-        copies_elided=low.copies_elided,
-        donations=low.donations,
-    )
-    for nested in low.nested_stats:
-        stats = stats.merge(nested)
-
-    return ParallelPlan(
-        module_name=module.name,
-        num_devices=num_devices,
-        workers=workers,
-        bounds=bounds,
-        steps=steps,
-        worker_steps=worker_steps,
-        labels=labels,
-        initial_env=low.initial_env,
-        params=low.params,
-        output_slots={
-            name: value.slot for name, value in zip(wanted, output_values)
-        },
-        output_order=wanted,
-        stats=stats,
-        meta=metas,
-        tracer_box=low.tracer_box,
-        donations=tuple(low.donation_records),
-        uid=uid,
-        arena_spec=arena_spec,
-        body_plans=body_plans,
-        model=model,
-    )
-
-
-# --- single-worker (inline) emission ----------------------------------------
-
-
-def _pin_deferred_operands(low: _Lowering) -> None:
-    """Extend each deferred permute operand's liveness to its done step.
-
-    The single-worker start is a pure passthrough; the done reads the
-    operand *then* — so the operand buffer must stay unreleased and
-    undonated for the whole in-flight window. (This can only reduce
-    donation relative to the compiled plan, never unsoundly add one.)
-    """
-    for t, node in enumerate(low.nodes):
-        if node.instr.opcode is Opcode.COLLECTIVE_PERMUTE_DONE:
-            start_node = low._start_node_of(node.instr)
-            buffer = low.buffers[start_node.operands[0].buffer]
-            if buffer.last_use < t:
-                buffer.last_use = t
-
-
-def _emit_inline(low: _Lowering, counters: _Counters):
-    steps, labels, metas = [], [], []
-    body_plans: List[ParallelPlan] = []
-    for t, node in enumerate(low.nodes):
-        opcode = node.instr.opcode
-        if opcode is Opcode.WHILE:
-            step, body_plan = _emit_inline_while(low, node, counters)
-            body_plans.append(body_plan)
-        elif (
-            opcode is Opcode.COLLECTIVE_PERMUTE_START
-            and node.payload is not None
-        ):
-            step = _emit_inline_start(low, node)
-        elif opcode is Opcode.COLLECTIVE_PERMUTE_DONE:
-            step = _emit_inline_done(low, node)
-        else:
-            step = low.emit(t, node)
-        releases = tuple(
-            s for s in low.releases_at(t)
-            if s != node.out.slot
-            and (node.payload is None or s != node.payload.slot)
-        )
-        if releases:
-            step = _with_releases(step, releases)
-        steps.append(step)
-        labels.append(_node_label(node, releases))
-        metas.append(_node_meta(node))
-    return steps, labels, metas, body_plans
-
-
-def _emit_inline_start(low: _Lowering, node: _Node):
-    """Deferred start: validate once, pass the operand through untouched.
-
-    The permute itself happens at the done (see
-    :func:`_pin_deferred_operands` for why that is still
-    snapshot-at-issue)."""
-    validate_permute_pairs(node.instr.pairs, low.n)
-    (s0,) = [v.slot for v in node.operands]
-    so = node.out.slot
-
-    def step(env, it):
-        env[so] = env[s0]
-
-    return step
-
-
-def _emit_inline_done(low: _Lowering, node: _Node):
-    start_node = low._start_node_of(node.instr)
-    s_operand = start_node.operands[0].slot
-    sp = node.operands[0].slot  # the hidden payload slot
-    so = node.out.slot
-    sources, destinations = vectorized.permute_index(start_node.instr.pairs)
-    shape = start_node.instr.shape.stacked(low.n)
-    kernel = shard_ops.deferred_permute(sources, destinations, shape)
-
-    def step(env, it):
-        out = kernel(env[s_operand])
-        env[sp] = out
-        env[so] = out
-
-    return step
-
-
-def _emit_inline_while(low: _Lowering, node: _Node, counters: _Counters):
-    attrs = node.instr.attrs
-    body_plan = _lower(
-        attrs["body"],
-        low.n,
-        attrs["body_outputs"],
-        workers=1,
-        donate_params=False,
-        counters=counters,
-    )
-    low.nested_stats.append(body_plan.stats)
-    low.donation_records.extend(body_plan.donations)
-    trip_count = attrs["trip_count"]
-    result_index = attrs["result_index"]
-    state_slots = tuple(v.slot for v in node.operands)
-    so = node.out.slot
-    tracer_box = low.tracer_box
-
-    def step(env, it):
-        state = [env[s] for s in state_slots]
-        tracer = tracer_box[0]
-        if tracer is None:
-            for i in range(trip_count):
-                state = body_plan.execute(state, iteration=i)
-        else:
-            for i in range(trip_count):
-                state = body_plan.execute_traced(state, i, tracer)
-        env[so] = state[result_index]
-
-    return step, body_plan
 
 
 # --- multi-worker (sliced) emission -----------------------------------------
@@ -341,7 +140,6 @@ class _SlicedEmitter:
         self.bounds = bounds
         self.counters = counters
         self.arena_spec: Dict[int, Tuple[int, ...]] = {}
-        self.body_plans: List[ParallelPlan] = []
         # id(start instruction) -> (tid, incoming routes, destinations)
         self.routes: Dict[int, Tuple[int, dict, np.ndarray]] = {}
 
@@ -722,17 +520,7 @@ class _SlicedEmitter:
 
     def _emit_while(self, node: _Node) -> List[WorkerStep]:
         attrs = node.instr.attrs
-        body_plan = _lower(
-            attrs["body"],
-            self.low.n,
-            attrs["body_outputs"],
-            workers=self.workers,
-            donate_params=False,
-            counters=self.counters,
-        )
-        self.low.nested_stats.append(body_plan.stats)
-        self.low.donation_records.extend(body_plan.donations)
-        self.body_plans.append(body_plan)
+        body_plan = self.low.lower_while_body(node)
         self._arena(node)
         trip_count = attrs["trip_count"]
         result_index = attrs["result_index"]
@@ -834,7 +622,7 @@ class _SlicedEmitter:
         steps = []
         for w, lo, hi in self._ranges():
             inbound = tuple(incoming.get(w, ()))
-            zero_rows = shard_ops.missing_rows(destinations, lo, hi)
+            zero_rows = vectorized.missing_rows(destinations, lo, hi)
 
             def step(wctx, env, it, inbound=inbound, zero_rows=zero_rows):
                 out = wctx.arena[sp]

@@ -132,14 +132,31 @@ def _donated_ufunc_operand(low: _Lowering, t: int, node: _Node):
     return None
 
 
+def _plan_model(
+    low: _Lowering,
+    uid: int,
+    workers: int,
+    bounds: Tuple[int, ...],
+    steps: List[StepModel],
+) -> PlanModel:
+    return PlanModel(
+        module_name=low.module.name,
+        uid=uid,
+        workers=workers,
+        num_devices=low.n,
+        bounds=bounds,
+        steps=steps,
+        param_buffers=tuple(b.slot for b in low.params),
+        output_buffers=tuple(v.buffer for v in low.output_values),
+    )
+
+
 def build_sliced_model(
     low: _Lowering,
     routes: Dict[int, Tuple[int, dict, object]],
     workers: int,
     bounds: Tuple[int, ...],
     uid: int,
-    module_name: str,
-    output_buffers: Tuple[int, ...],
 ) -> PlanModel:
     """Model of a multi-worker plan (mirror of ``_SlicedEmitter``)."""
     steps: List[StepModel] = []
@@ -235,24 +252,10 @@ def build_sliced_model(
             state_buffers=state_buffers,
         ))
 
-    return PlanModel(
-        module_name=module_name,
-        uid=uid,
-        workers=workers,
-        num_devices=low.n,
-        bounds=bounds,
-        steps=steps,
-        param_buffers=tuple(b.slot for b in low.params),
-        output_buffers=output_buffers,
-    )
+    return _plan_model(low, uid, workers, bounds, steps)
 
 
-def build_inline_model(
-    low: _Lowering,
-    uid: int,
-    module_name: str,
-    output_buffers: Tuple[int, ...],
-) -> PlanModel:
+def build_inline_model(low: _Lowering, uid: int) -> PlanModel:
     """Model of a single-worker plan.
 
     Only what the CC005 pin-window check needs: PIN at each deferred
@@ -296,16 +299,7 @@ def build_inline_model(
             trip_count=trip_count,
             state_buffers=state_buffers,
         ))
-    return PlanModel(
-        module_name=module_name,
-        uid=uid,
-        workers=1,
-        num_devices=low.n,
-        bounds=(0, low.n),
-        steps=steps,
-        param_buffers=tuple(b.slot for b in low.params),
-        output_buffers=output_buffers,
-    )
+    return _plan_model(low, uid, 1, (0, low.n), steps)
 
 
 __all__ = [

@@ -1,13 +1,10 @@
 """ParallelPlan: a lowered module executable by shard-partitioned workers.
 
 A ParallelPlan extends :class:`~repro.runtime.plan.CompiledPlan` with a
-second execution mode. With ``workers == 1`` it *is* a compiled plan —
-same flat step list, same run loop, inherited unchanged — except that
-async collective permutes are deferred: the start step is a free
-passthrough (the lowering pins the operand buffer live and immutable
-until the matching done, so snapshot-at-issue holds without copying)
-and the done step materializes the permute without the eager kernel's
-zero-fill pass.
+second execution mode. With ``workers == 1`` it *is* the compiled plan —
+same flat step list, same run loop, inherited unchanged — plus the
+concurrency model (deferred-permute PIN/UNPIN windows) that the static
+verifier and the opt-in pin-window sanitizer read.
 
 With ``workers > 1`` the device-stacked execution is partitioned by
 rows: worker ``w`` owns device rows ``[bounds[w], bounds[w+1])`` of
@@ -142,40 +139,17 @@ class ParallelPlan(CompiledPlan):
     def __init__(
         self,
         *,
-        module_name: str,
-        num_devices: int,
         workers: int,
         bounds: Tuple[int, ...],
-        steps: Sequence[Any],
-        worker_steps: Sequence[Sequence[WorkerStep]],
-        labels: Sequence[str],
-        initial_env: Sequence[Optional[np.ndarray]],
-        params: Sequence[Any],
-        output_slots: Dict[str, int],
-        output_order: Sequence[str],
-        stats: Any,
-        meta: Sequence[StepMeta] = (),
-        tracer_box: Optional[List[Optional[Tracer]]] = None,
-        donations: Sequence[Any] = (),
+        worker_steps: Sequence[Sequence[WorkerStep]] = (),
         uid: int = 0,
         arena_spec: Optional[Dict[int, Tuple[int, ...]]] = None,
         body_plans: Sequence["ParallelPlan"] = (),
         model: Optional[Any] = None,
+        **compiled: Any,
     ) -> None:
-        super().__init__(
-            module_name=module_name,
-            num_devices=num_devices,
-            steps=steps,
-            labels=labels,
-            initial_env=initial_env,
-            params=params,
-            output_slots=output_slots,
-            output_order=output_order,
-            stats=stats,
-            meta=meta,
-            tracer_box=tracer_box,
-            donations=donations,
-        )
+        """``compiled`` are :class:`CompiledPlan`'s own keywords."""
+        super().__init__(**compiled)
         self.workers = workers
         self.bounds = bounds
         self.worker_steps: Tuple[Tuple[WorkerStep, ...], ...] = tuple(

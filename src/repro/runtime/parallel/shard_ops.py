@@ -22,7 +22,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.vectorized import GroupIndex
+from repro.runtime.vectorized import GroupIndex, missing_rows
 
 Kernel = Callable[[np.ndarray, np.ndarray], None]
 
@@ -121,11 +121,6 @@ def make_collective_permute(
     return fn
 
 
-def missing_rows(destinations: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows in ``[lo, hi)`` that receive no transfer (zeroed outputs)."""
-    return np.setdiff1d(np.arange(lo, hi, dtype=np.int64), destinations)
-
-
 def route_pairs(
     pairs: Sequence[Tuple[int, int]], bounds: Sequence[int]
 ) -> Tuple[dict, dict]:
@@ -158,40 +153,12 @@ def route_pairs(
     return outgoing, incoming
 
 
-def deferred_permute(
-    sources: np.ndarray,
-    destinations: np.ndarray,
-    stacked_shape: Tuple[int, ...],
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Single-worker done-step kernel: materialize a permute that was
-    deferred at its start step.
-
-    Cheaper than the eager compiled kernel (``zeros_like`` + scatter):
-    it allocates without zero-filling and only zeroes the rows that
-    receive nothing — for a full ring, no zero pass at all.
-    """
-    n = stacked_shape[0]
-    missing = missing_rows(destinations, 0, n)
-
-    def fn(operand: np.ndarray) -> np.ndarray:
-        out = np.empty(stacked_shape, dtype=np.float64)
-        if destinations.size:
-            out[destinations] = operand[sources]
-        if missing.size:
-            out[missing] = 0.0
-        return out
-
-    return fn
-
-
 __all__ = [
     "Kernel",
-    "deferred_permute",
     "make_all_gather",
     "make_all_reduce",
     "make_all_to_all",
     "make_collective_permute",
     "make_reduce_scatter",
-    "missing_rows",
     "route_pairs",
 ]

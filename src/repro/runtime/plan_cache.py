@@ -20,10 +20,9 @@ module provides the two pieces every caller shares:
 The fingerprint is memoized on the module object and revalidated
 against the identity of its instruction list, so the hot path of a
 cache hit costs one tuple comparison plus one dict lookup — not a
-re-print of the program. The same caveat as
-:class:`~repro.runtime.compile.CompiledExecutor` applies: mutating an
-instruction's ``attrs`` in place without touching the instruction list
-is not detected.
+re-print of the program. One caveat: mutating an instruction's
+``attrs`` in place without touching the instruction list is not
+detected.
 """
 
 from __future__ import annotations

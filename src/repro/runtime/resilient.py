@@ -45,7 +45,6 @@ from repro.hlo.opcode import Opcode
 from repro.obs.events import RETRY
 from repro.obs.tracer import Tracer
 from repro.runtime import collectives
-from repro.runtime._compat import internal_construction, warn_legacy_constructor
 from repro.runtime.executor import Executor, PerDevice
 
 
@@ -109,8 +108,6 @@ class ResilientExecutor(Executor):
         policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if type(self) is ResilientExecutor:
-            warn_legacy_constructor("ResilientExecutor")
         super().__init__(num_devices, tracer=tracer)
         self.injector = injector
         self.policy = policy or RetryPolicy()
@@ -337,10 +334,9 @@ def run_with_fallback(
     Non-link faults (device failure, unrepairable corruption) propagate:
     no program rewrite survives a dead device.
     """
-    with internal_construction():
-        executor = ResilientExecutor(
-            num_devices, injector=injector, policy=policy, tracer=tracer
-        )
+    executor = ResilientExecutor(
+        num_devices, injector=injector, policy=policy, tracer=tracer
+    )
     try:
         values = executor.run(primary, arguments, outputs=outputs)
         return ResilientResult(
@@ -352,8 +348,7 @@ def run_with_fallback(
     except LINK_FAULTS as failure:
         if tracer is not None:
             tracer.count("fallbacks")
-        with internal_construction():
-            fallback_executor = Executor(num_devices, tracer=tracer)
+        fallback_executor = Executor(num_devices, tracer=tracer)
         try:
             values = fallback_executor.run(
                 fallback, arguments, outputs=outputs

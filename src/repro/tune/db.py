@@ -9,8 +9,8 @@ cache already keys compilations on — to the winning
 :class:`~repro.core.config.OverlapConfig` and its scores. Because the
 key is content-addressed, a tuned config found once is picked up for
 free by every later process that builds a structurally identical program
-on the same mesh: the serving catalog, ``repro bench --tuned`` and the
-experiments all resolve configs through :meth:`TuningDB.config_for`
+on the same mesh: the serving catalog, ``create_engine(tuned=...)`` and
+the experiments all resolve configs through :meth:`TuningDB.config_for`
 with zero re-search.
 
 Persistence is one JSON file (schema-versioned, atomically replaced on

@@ -1,8 +1,7 @@
 """The ``BENCH_tune.json`` artifact: build, render, gate, trend-compare.
 
-The report is the tuner's machine-readable trail, mirroring the shape of
-``BENCH_executor.json``: per-entry rows plus a summary block CI gates
-on. Two gates apply:
+The report is the tuner's machine-readable trail: per-entry rows plus a
+summary block CI gates on. Two gates apply:
 
 * the **tuned-vs-default floor** (:func:`check_tune_report`): the
   geomean perfsim speedup of tuned configs over the analytic-gate

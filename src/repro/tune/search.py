@@ -17,7 +17,7 @@ default config on a real engine: both programs execute end-to-end
 schedule, never the numbers.
 
 ``tune_golden`` sweeps the chaos harness's golden module families (the
-programs the serving catalog, bench and chaos all share) and persists
+programs the serving catalog and chaos share) and persists
 every record into a :class:`~repro.tune.db.TuningDB`, which is how the
 rest of the system picks tuned configs up by fingerprint with zero
 re-search.
@@ -238,8 +238,8 @@ def tune_golden(
     """Tune every golden module family at every ring size.
 
     These are exactly the programs the serving catalog
-    (:func:`repro.models.serving.default_catalog`), ``repro bench`` and
-    the chaos harness execute, so persisting their records is what makes
+    (:func:`repro.models.serving.default_catalog`) and the chaos
+    harness execute, so persisting their records is what makes
     ``--tuned`` runs a pure DB lookup.
     """
     from repro.faults.chaos import GOLDEN_CASES

@@ -55,3 +55,16 @@ def run_and_compare(
 
 def split_shards(array: np.ndarray, axis: int, count: int):
     return [s.copy() for s in np.split(array, count, axis=axis)]
+
+
+def assert_bit_identical(reference, got):
+    """``np.array_equal`` on every device shard of every output."""
+    assert reference.keys() == got.keys()
+    for name in reference:
+        assert len(reference[name]) == len(got[name])
+        for device, (want, have) in enumerate(
+            zip(reference[name], got[name])
+        ):
+            assert np.array_equal(want, have), (
+                f"output {name!r} differs on device {device}"
+            )

@@ -96,118 +96,6 @@ class TestChaosCommand:
         assert "outcome:" in out
 
 
-def _bench_report(bit_identical=True, speedup=3.0):
-    """A minimal, schema-complete bench report for exit-code tests."""
-    rows = [
-        {
-            "case": "mlp-chain", "variant": "decomposed", "devices": n,
-            "interpreted_ms": 1.0, "compiled_ms": 1.0 / speedup,
-            "speedup": speedup, "bit_identical": bit_identical,
-        }
-        for n in (4, 8)
-    ]
-    return {
-        "benchmark": "executor", "quick": True, "repeats": 1, "inner": 1,
-        "device_counts": [4, 8], "rows": rows,
-        "summary": {
-            "geomean_speedup": speedup,
-            "speedup_at_8plus": speedup,
-            "all_bit_identical": bit_identical,
-        },
-    }
-
-
-class TestBenchExitCodes:
-    """``repro bench`` must fail loudly, not print-and-return-zero."""
-
-    def _patch(self, monkeypatch, report):
-        import repro.runtime.bench as bench
-
-        monkeypatch.setattr(bench, "run_bench", lambda **kw: report)
-
-    def test_clean_report_exits_zero(self, monkeypatch, capsys):
-        self._patch(monkeypatch, _bench_report())
-        assert main(["bench", "--quick", "--output", ""]) == 0
-
-    def test_bit_identity_failure_fails_without_floor(
-        self, monkeypatch, capsys
-    ):
-        self._patch(monkeypatch, _bench_report(bit_identical=False))
-        assert main(["bench", "--quick", "--output", ""]) == 1
-        assert "diverge" in capsys.readouterr().err
-
-    def test_speedup_floor_gate(self, monkeypatch, capsys):
-        self._patch(monkeypatch, _bench_report(speedup=1.5))
-        assert main([
-            "bench", "--quick", "--output", "", "--min-speedup", "2.0",
-        ]) == 1
-        assert "below the required" in capsys.readouterr().err
-
-    def test_trend_gate_fails_on_speedup_drop(
-        self, monkeypatch, capsys, tmp_path
-    ):
-        import json
-
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_bench_report(speedup=4.0)))
-        self._patch(monkeypatch, _bench_report(speedup=2.0))
-        assert main([
-            "bench", "--quick", "--output", "",
-            "--baseline", str(baseline),
-        ]) == 1
-        assert "dropped more than" in capsys.readouterr().err
-
-    def test_trend_gate_passes_within_tolerance(
-        self, monkeypatch, capsys, tmp_path
-    ):
-        import json
-
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_bench_report(speedup=3.1)))
-        self._patch(monkeypatch, _bench_report(speedup=3.0))
-        assert main([
-            "bench", "--quick", "--output", "",
-            "--baseline", str(baseline),
-        ]) == 0
-
-    def test_unreadable_baseline_fails(self, monkeypatch, capsys, tmp_path):
-        self._patch(monkeypatch, _bench_report())
-        assert main([
-            "bench", "--quick", "--output", "",
-            "--baseline", str(tmp_path / "missing.json"),
-        ]) == 1
-        assert "cannot read baseline" in capsys.readouterr().err
-
-
-class TestCompareReports:
-    def test_disjoint_grids_fail(self):
-        from repro.runtime.bench import compare_reports
-
-        left = _bench_report()
-        right = _bench_report()
-        for row in right["rows"]:
-            row["devices"] += 100
-        assert compare_reports(left, right)
-
-    def test_bit_identity_flip_is_reported_per_row(self):
-        from repro.runtime.bench import compare_reports
-
-        fresh = _bench_report(bit_identical=False)
-        problems = compare_reports(_bench_report(), fresh)
-        assert any("bit_identical" in p for p in problems)
-
-    def test_grid_growth_alone_passes(self):
-        from repro.runtime.bench import compare_reports
-
-        fresh = _bench_report()
-        fresh["rows"].append({
-            "case": "new-case", "variant": "reference", "devices": 2,
-            "interpreted_ms": 1.0, "compiled_ms": 1.0,
-            "speedup": 1.0, "bit_identical": True,
-        })
-        assert compare_reports(_bench_report(), fresh) == []
-
-
 class TestTraceCommand:
     def test_unknown_module_exits_two(self, capsys, tmp_path):
         assert main([

@@ -2,8 +2,8 @@
 
 The contract under test: for every module the repo can produce — golden
 chaos modules, every decompose/unroll/bidirectional overlap variant, and
-the rolled/partially-unrolled While forms — ``CompiledExecutor`` returns
-**bit-identical** outputs to the per-device reference ``Executor``
+the rolled/partially-unrolled While forms — ``create_engine("compiled")``
+returns **bit-identical** outputs to the per-device reference ``Executor``
 (``np.array_equal``, not allclose), while its lowering pipeline actually
 performs the advertised optimizations (folding, CSE, DCE, copy elision,
 buffer donation) without ever mutating caller-owned memory.
@@ -12,7 +12,7 @@ buffer donation) without ever mutating caller-owned memory.
 import numpy as np
 import pytest
 
-from helpers import ALL_OVERLAP_CONFIGS, split_shards
+from helpers import ALL_OVERLAP_CONFIGS, assert_bit_identical, split_shards
 
 from repro.core.loop import emit_rolled, unroll_while
 from repro.core.patterns import find_candidates
@@ -21,26 +21,17 @@ from repro.faults.chaos import GOLDEN_CASES
 from repro.hlo.builder import GraphBuilder
 from repro.hlo.dtypes import F32
 from repro.hlo.shapes import Shape
-from repro.runtime.compile import CompiledExecutor, lower, run_compiled
+from repro.runtime.compile import lower
+from repro.runtime.engine import create_engine
 from repro.runtime.executor import ExecutionError, Executor
 from repro.sharding.mesh import DeviceMesh
 
 
-def assert_bit_identical(reference, got):
-    assert reference.keys() == got.keys()
-    for name in reference:
-        assert len(reference[name]) == len(got[name])
-        for device, (want, have) in enumerate(
-            zip(reference[name], got[name])
-        ):
-            assert np.array_equal(want, have), (
-                f"output {name!r} differs on device {device}"
-            )
-
-
 def _run_both(module, arguments, num_devices, outputs=None):
     reference = Executor(num_devices).run(module, arguments, outputs)
-    got = CompiledExecutor(num_devices).run(module, arguments, outputs)
+    got = create_engine("compiled").run(
+        module, arguments, mesh=num_devices, outputs=outputs
+    )
     assert_bit_identical(reference, got)
     return reference
 
@@ -68,7 +59,8 @@ def test_golden_modules_bit_identical(case, ring):
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.name)
 def test_overlap_variants_bit_identical(case, config, ring):
     """Decomposed programs contain async permute start/done chains, so
-    this sweep also pins the snapshot-at-issue semantics."""
+    this sweep also pins the snapshot-at-issue semantics (held by
+    pinning the operand buffer until the deferred done reads it)."""
     mesh = DeviceMesh.ring(ring)
     rng = np.random.default_rng([20230325, ring])
     arguments = case.make_arguments(mesh, rng)
@@ -236,27 +228,10 @@ def test_repeated_runs_are_deterministic(rng):
     compile_module(
         module, mesh, ALL_OVERLAP_CONFIGS[0]
     )
-    executor = CompiledExecutor(4)
-    first = executor.run(module, arguments)
-    second = executor.run(module, arguments)
+    engine = create_engine("compiled")
+    first = engine.run(module, arguments, mesh=mesh)
+    second = engine.run(module, arguments, mesh=mesh)
     assert_bit_identical(first, second)
-
-
-# --- plan caching ------------------------------------------------------------
-
-
-def test_plan_cached_until_module_changes(rng):
-    mesh = DeviceMesh.ring(2)
-    module = _gather_einsum(mesh)
-    executor = CompiledExecutor(2)
-    plan = executor.plan_for(module)
-    assert executor.plan_for(module) is plan
-    compile_module(module, mesh, ALL_OVERLAP_CONFIGS[0])  # rewrites the list
-    replan = executor.plan_for(module)
-    assert replan is not plan
-    a, w = rng.normal(size=(24, 5)), rng.normal(size=(5, 7))
-    arguments = {"a": split_shards(a, 0, 2), "w": [w.copy()] * 2}
-    _run_both(module, arguments, 2)
 
 
 def test_describe_lists_steps():
@@ -276,7 +251,9 @@ def test_unknown_output_typed_error():
     builder.add(a, a)
     module = builder.module
     with pytest.raises(ExecutionError, match="unknown output 'nope'"):
-        run_compiled(module, {"a": [np.zeros(2)] * 2}, 2, outputs=["nope"])
+        create_engine("compiled").run(
+            module, {"a": [np.zeros(2)] * 2}, mesh=2, outputs=["nope"]
+        )
 
 
 def test_argument_validation_matches_interpreter(rng):
@@ -290,18 +267,16 @@ def test_argument_validation_matches_interpreter(rng):
         ({"a": [np.zeros(3), np.zeros(3)]}, "shard shape"),
     ]
     for arguments, pattern in bad_arguments:
-        for run in (
-            Executor(2).run, CompiledExecutor(2).run
-        ):
+        for kind in ("interpreted", "compiled"):
             with pytest.raises(ExecutionError, match=pattern):
-                run(module, arguments)
+                create_engine(kind).run(module, arguments, mesh=2)
 
 
 def test_invalid_device_count():
-    with pytest.raises(ValueError, match="positive"):
-        CompiledExecutor(0)
     builder = GraphBuilder("m")
     a = builder.parameter(Shape((2,), F32), name="a")
     builder.add(a, a)
+    with pytest.raises(ValueError, match="positive"):
+        create_engine("compiled").run(builder.module, {}, mesh=0)
     with pytest.raises(ValueError, match="positive"):
         lower(builder.module, 0)

@@ -286,8 +286,8 @@ class TestEngineIntegration:
         assert tracer.counters.get("sanitize.barriers", 0) > 0
 
     def test_sanitize_overhead_is_bounded(self):
-        """Lenient smoke bound — the real <10% sweep-level gate runs in
-        the bench-parallel CI job via ``bench --parallel --sanitize``."""
+        """Lenient smoke bound: instrumentation must stay a small
+        multiple of the work it brackets."""
         _, plan = _compiled_plan("mlp-chain", 4, VARIANTS[3][1], 2)
         arguments = _arguments("mlp-chain", 4)
 

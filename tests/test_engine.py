@@ -1,13 +1,15 @@
 """Tests for the unified Engine API (``repro.runtime.create_engine``).
 
 Parity is the contract: the golden modules must produce bit-identical
-outputs through all three engines, and (on the raw, straight-line
-modules, where the compiled engine has nothing to fold away) identical
-traced span-name sequences. Decomposed variants introduce constants the
-compiled engine folds, so only bit-identity is asserted there.
+outputs through every engine, and (on the raw, straight-line modules,
+where the compiled engine has nothing to fold away) identical traced
+span-name sequences. Decomposed variants introduce constants the
+compiled engine folds, so only bit-identity is asserted there. The
+parity class runs again with ``os.cpu_count`` patched to 1 and to 8, so
+the default-sized parallel pool is exercised at both extremes on any host.
 """
 
-import warnings
+import os
 
 import numpy as np
 import pytest
@@ -16,14 +18,6 @@ from repro.core.config import OverlapConfig
 from repro.core.pipeline import compile_module
 from repro.faults.chaos import GOLDEN_CASES
 from repro.obs.tracer import Tracer
-from repro.runtime import (
-    CompiledExecutor,
-    Executor,
-    ResilientExecutor,
-    run_compiled,
-    run_spmd,
-    run_with_fallback,
-)
 from repro.runtime.engine import ENGINE_KINDS, create_engine
 from repro.runtime.plan_cache import PlanCache
 from repro.sharding.mesh import DeviceMesh
@@ -52,19 +46,38 @@ class TestParity:
         arguments = case.make_arguments(mesh, rng)
         results, span_names = {}, {}
         for kind in ENGINE_KINDS:
+            # One span list is a property of the single-threaded run
+            # loop: one parallel worker runs the compiled plan itself.
+            options = {"workers": 1} if kind == "parallel" else {}
             tracer = Tracer()
-            results[kind] = create_engine(kind).run(
+            results[kind] = create_engine(kind, **options).run(
                 module, arguments, mesh=mesh, tracer=tracer
             )
             span_names[kind] = [event.name for event in tracer.events]
-        _values_identical(results["interpreted"], results["compiled"])
-        _values_identical(results["interpreted"], results["resilient"])
-        _values_identical(results["interpreted"], results["parallel"])
-        assert span_names["interpreted"] == span_names["compiled"]
-        assert span_names["interpreted"] == span_names["resilient"]
-        # The parallel backend's single-worker path inherits the
-        # compiled run loop, so its spans match too.
-        assert span_names["interpreted"] == span_names["parallel"]
+        for kind in ENGINE_KINDS:
+            _values_identical(results["interpreted"], results[kind])
+            assert span_names["interpreted"] == span_names[kind]
+
+    @pytest.mark.parametrize("case,ring", CASES_BY_RING, ids=IDS)
+    def test_each_worker_lane_carries_the_interpreter_spans(
+        self, case, ring, rng
+    ):
+        mesh = DeviceMesh.ring(ring)
+        module = case.build(mesh)
+        arguments = case.make_arguments(mesh, rng)
+        reference = Tracer()
+        want = create_engine("interpreted").run(
+            module, arguments, mesh=mesh, tracer=reference
+        )
+        tracer = Tracer()
+        got = create_engine("parallel", workers=2).run(
+            module, arguments, mesh=mesh, tracer=tracer
+        )
+        _values_identical(want, got)
+        for lane in ("w0", "w1"):
+            assert [
+                e.name for e in tracer.events if e.resource == lane
+            ] == [e.name for e in reference.events]
 
     @pytest.mark.parametrize("case,ring", CASES_BY_RING, ids=IDS)
     def test_decomposed_modules_bit_identical(self, case, ring, rng):
@@ -90,6 +103,21 @@ class TestParity:
             engine.run(module, arguments, mesh=mesh),
             engine.run(module, arguments, mesh=ring),
         )
+
+
+class TestParityWithOneCpu(TestParity):
+    """The same contract whatever the host: ``create_engine("parallel")``
+    sizes its pool from ``os.cpu_count()``, so pin that to both extremes."""
+
+    cpus = 1
+
+    @pytest.fixture(autouse=True)
+    def host_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: self.cpus)
+
+
+class TestParityWithEightCpus(TestParityWithOneCpu):
+    cpus = 8
 
 
 class TestCompiledEngineCache:
@@ -166,29 +194,3 @@ class TestFactory:
         )
         assert engine.last_stats is not None
         assert engine.last_stats.transfers == 0  # raw module, no permutes
-
-
-class TestDeprecation:
-    def test_direct_constructors_warn(self):
-        for cls in (Executor, CompiledExecutor, ResilientExecutor):
-            with pytest.warns(DeprecationWarning, match="create_engine"):
-                cls(2)
-
-    def test_engine_and_helper_paths_do_not_warn(self, rng):
-        case = GOLDEN_CASES[0]
-        mesh = DeviceMesh.ring(2)
-        arguments = case.make_arguments(mesh, rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            for kind in ENGINE_KINDS:
-                create_engine(kind).run(
-                    case.build(mesh), arguments, mesh=mesh
-                )
-            run_spmd(case.build(mesh), arguments, mesh.num_devices)
-            run_compiled(case.build(mesh), arguments, mesh.num_devices)
-            run_with_fallback(
-                case.build(mesh),
-                case.build(mesh),
-                arguments,
-                mesh.num_devices,
-            )

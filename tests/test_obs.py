@@ -39,8 +39,7 @@ from repro.obs.health_feed import lane_costs, retry_fraction
 from repro.perfsim.simulator import simulate_with_trace
 from repro.perfsim.trace import Trace
 from repro.runtime.collectives import payload_bytes
-from repro.runtime.compile import CompiledExecutor
-from repro.runtime.executor import Executor
+from repro.runtime.engine import create_engine
 from repro.runtime.resilient import run_with_fallback
 from repro.sharding.mesh import DeviceMesh
 
@@ -59,12 +58,9 @@ def golden_run(name="mlp-chain", ring=4, config=None, engine="interpreted"):
     if config is not None:
         compile_module(module, mesh, config)
     tracer = Tracer()
-    executor = (
-        Executor(ring, tracer=tracer)
-        if engine == "interpreted"
-        else CompiledExecutor(ring, tracer=tracer)
+    values = create_engine(engine, tracer=tracer).run(
+        module, arguments, mesh=mesh
     )
-    values = executor.run(module, arguments)
     return tracer, values
 
 
@@ -171,9 +167,9 @@ class TestCounters:
         arguments = case.make_arguments(mesh, rng)
         module = case.build(mesh)
         tracer = Tracer()
-        executor = CompiledExecutor(4, tracer=tracer)
-        executor.run(module, arguments)
-        executor.run(module, arguments)
+        engine = create_engine("compiled", tracer=tracer)
+        engine.run(module, arguments, mesh=mesh)
+        engine.run(module, arguments, mesh=mesh)
         assert tracer.counters["plan.cache_misses"] == 1
         assert tracer.counters["plan.cache_hits"] == 1
 
@@ -333,12 +329,9 @@ class TestWhileLoopTracing:
     def test_loop_bodies_trace_one_level_deeper(self, engine):
         module, mesh, arguments = self._rolled_module_and_args()
         tracer = Tracer()
-        executor = (
-            Executor(mesh.num_devices, tracer=tracer)
-            if engine == "interpreted"
-            else CompiledExecutor(mesh.num_devices, tracer=tracer)
+        create_engine(engine, tracer=tracer).run(
+            module, arguments, mesh=mesh
         )
-        executor.run(module, arguments)
         controls = [e for e in tracer.events if e.kind == CONTROL]
         assert len(controls) == 1  # the While container itself
         nested = [e for e in tracer.events if e.depth > 0]

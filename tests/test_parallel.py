@@ -10,10 +10,12 @@ show *measured* overlap: hidden-communication fraction strictly positive
 for decomposed schedules and exactly zero for the undecomposed baseline.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from helpers import ALL_OVERLAP_CONFIGS, split_shards
+from helpers import ALL_OVERLAP_CONFIGS, assert_bit_identical, split_shards
 
 from repro.core.config import OverlapConfig
 from repro.core.loop import emit_rolled, unroll_while
@@ -32,18 +34,6 @@ from repro.runtime.parallel.mailbox import TransferMailbox
 from repro.runtime.parallel.sync import RunContext
 from repro.runtime.plan_cache import PlanCache
 from repro.sharding.mesh import DeviceMesh
-
-
-def assert_bit_identical(reference, got):
-    assert reference.keys() == got.keys()
-    for name in reference:
-        assert len(reference[name]) == len(got[name])
-        for device, (want, have) in enumerate(
-            zip(reference[name], got[name])
-        ):
-            assert np.array_equal(want, have), (
-                f"output {name!r} differs on device {device}"
-            )
 
 
 def _run_vs_interpreter(module, arguments, mesh, workers):
@@ -93,6 +83,23 @@ class TestRegistry:
         engine = create_engine("parallel", workers=8)
         assert engine.effective_workers(4) == 4
         assert engine.effective_workers(16) == 8
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_default_pool_follows_cpu_count(self, cpus, rng, monkeypatch):
+        """The unpinned pool size comes from the host; the result must
+        not."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        engine = create_engine("parallel")
+        assert engine.effective_workers(4) == min(cpus, 4)
+        case = GOLDEN_CASES[-1]
+        mesh = DeviceMesh.ring(4)
+        module = case.build(mesh)
+        compile_module(module, mesh, OverlapConfig(use_cost_model=False))
+        arguments = case.make_arguments(mesh, rng)
+        assert_bit_identical(
+            create_engine("interpreted").run(module, arguments, mesh=mesh),
+            engine.run(module, arguments, mesh=mesh),
+        )
 
     def test_plan_key_distinguishes_worker_counts(self, rng):
         case = GOLDEN_CASES[0]

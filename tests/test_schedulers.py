@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.config import OverlapConfig
 from repro.core.pipeline import compile_module
-from repro.core.schedule_bottom_up import schedule_bottom_up
-from repro.core.schedule_top_down import schedule_top_down
+from repro.core.scheduling import schedule_bottom_up, schedule_top_down
 from repro.hlo.builder import GraphBuilder
 from repro.hlo.dtypes import BF16, F32
 from repro.hlo.opcode import Opcode

@@ -513,12 +513,3 @@ class TestCli:
             "tune", "--measure", "--engine", "interpreted",
         ]) == 2
         assert "tuned configs" in capsys.readouterr().err
-
-    def test_bench_tuned_rejects_untuned_engine(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "bench", "--quick", "--tuned", "--engine", "interpreted",
-            "--output", "",
-        ]) == 2
-        assert "tuned does not apply" in capsys.readouterr().err
